@@ -1,58 +1,75 @@
-"""Grid-scan kernels: per-cell feasibility classification over a planar grid.
+"""Grid-scan kernel: per-cell feasibility classification over a planar grid.
 
-Two interchangeable backends compute identical results:
+One vectorized numpy kernel classifies the whole grid at once. Every cell has
+four clamped-cable candidates, and each candidate is a 3 x 3 solve done in
+closed form by the adjugate (`_solve3`) as element-wise arithmetic over the
+grid, with no per-cell factorization. The per-pose statics route calls the
+same `_solve3` with scalars, so there is one copy of the candidate solve.
 
-* a numba @njit kernel (default when numba imports cleanly), and
-* a vectorized pure-numpy path.
-
-Set CDPR_NUMBA=0 in the environment to force the numpy path. The active
-backend is reported by `backend_name()`. `benchmarks/bench_scan.py` times the
-two against each other.
+The tolerance constants shared by the kinematics, statics and grid routes are
+defined here; `kinematics` and `statics` re-export them.
 """
 
 from __future__ import annotations
-
-import math
-import os
 
 import numpy as np
 
 __all__ = ["backend_name", "numba_available", "scan_cells"]
 
-EPS_LEN = 1e-9
-TOL_TENSION = 1e-6
-RCOND_MIN = 1e-12
-
-_ENV_FLAG = os.environ.get("CDPR_NUMBA", "").strip().lower()
-_NUMBA_DISABLED = _ENV_FLAG in ("0", "false", "off", "no")
-
-try:
-    if _NUMBA_DISABLED:
-        raise ImportError
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:
-    _HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):  # no-op decorator fallback
-        def wrap(fn):
-            return fn
-
-        return wrap if not (args and callable(args[0])) else args[0]
+EPS_LEN = 1e-9        # m, degenerate-cable threshold, far below any physical length
+TOL_TENSION = 1e-6    # N, slack on tension bound checks
+RCOND_MIN = 1e-12     # reciprocal condition below which a candidate is invalid
 
 
 def numba_available() -> bool:
-    return _HAVE_NUMBA
+    """Always False: the kernel is numpy only. Kept for callers that record
+    the run environment."""
+    return False
 
 
 def backend_name() -> str:
-    return "numba" if _HAVE_NUMBA else "numpy"
+    return "numpy"
+
+
+def _solve3(B, rhs):
+    """Solve the 3 x 3 system B @ x = rhs by the adjugate.
+
+    `B[r][c]` and `rhs[r]` are floats or equally shaped arrays; with arrays
+    every element is an independent system. Returns (x, rcond, valid): x as
+    three components, the exact 1-norm reciprocal condition number (0.0 where
+    det == 0), and valid = det != 0 and rcond >= RCOND_MIN. x is meaningless
+    where valid is False.
+    """
+    (a, b, c), (d, e, f), (g, h, i) = B
+    c11 = e * i - f * h
+    c12 = c * h - b * i
+    c13 = b * f - c * e
+    c21 = f * g - d * i
+    c22 = a * i - c * g
+    c23 = c * d - a * f
+    c31 = d * h - e * g
+    c32 = b * g - a * h
+    c33 = a * e - b * d
+    det = a * c11 + b * c21 + c * c31
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        inv_det = np.divide(1.0, det)
+        # column 1-norms of B and of its adjugate
+        norm_b = np.maximum(np.maximum(abs(a) + abs(d) + abs(g), abs(b) + abs(e) + abs(h)),
+                            abs(c) + abs(f) + abs(i))
+        norm_adj = np.maximum(np.maximum(abs(c11) + abs(c21) + abs(c31),
+                                         abs(c12) + abs(c22) + abs(c32)),
+                              abs(c13) + abs(c23) + abs(c33))
+        rcond = np.where(det == 0, 0.0, 1.0 / (norm_b * (norm_adj * abs(inv_det))))
+        r0, r1, r2 = rhs
+        x = ((c11 * r0 + c12 * r1 + c13 * r2) * inv_det,
+             (c21 * r0 + c22 * r1 + c23 * r2) * inv_det,
+             (c31 * r0 + c32 * r1 + c33 * r2) * inv_det)
+    return x, rcond, rcond >= RCOND_MIN
 
 
 def scan_cells(xs, ys, anchors, attachments, cb_fixed, cb_platform,
                tmin, tmax, t5, weight, elastic_on=False,
-               ea=None, l0_min=None, l0_max=None, backend=None):
+               ea=None, l0_min=None, l0_max=None):
     """Classify every (x, y) cell of the grid.
 
     Returns (feasible, gamma, tensions): boolean (nx, ny), float (nx, ny)
@@ -79,31 +96,17 @@ def scan_cells(xs, ys, anchors, attachments, cb_fixed, cb_platform,
     ea = np.ascontiguousarray(ea, float)
     l0_min = np.ascontiguousarray(l0_min, float)
     l0_max = np.ascontiguousarray(l0_max, float)
+    return _scan_numpy(xs, ys, anchors, attachments, cb_fixed, cb_platform,
+                       tmin, tmax, float(t5), float(weight), bool(elastic_on),
+                       ea, l0_min, l0_max)
 
-    if backend is None:
-        backend = backend_name()
-    if backend == "numba":
-        if not _HAVE_NUMBA:
-            raise RuntimeError("numba backend requested but numba is unavailable")
-        fn = _scan_numba
-    elif backend == "numpy":
-        fn = _scan_numpy
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
-    return fn(xs, ys, anchors, attachments, cb_fixed, cb_platform,
-              tmin, tmax, float(t5), float(weight), bool(elastic_on),
-              ea, l0_min, l0_max)
-
-
-# ---------------------------------------------------------------------------
-# numpy backend: batched over the whole grid.
 
 def _scan_numpy(xs, ys, anchors, attachments, cb_fixed, cb_platform,
                 tmin, tmax, t5, weight, elastic_on, ea, l0_min, l0_max):
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     shape = X.shape
-    A = np.empty(shape + (3, 4))
-    l_len = np.empty(shape + (4,))
+    A = [[None] * 4 for _ in range(3)]   # A[row][cable], rows (Fx, Fy, Mz)
+    l_len = []
     degenerate = np.zeros(shape, bool)
     for i in range(4):
         lx = X + attachments[i, 0] - anchors[i, 0]
@@ -112,14 +115,13 @@ def _scan_numpy(xs, ys, anchors, attachments, cb_fixed, cb_platform,
         degenerate |= L < EPS_LEN
         L = np.where(L < EPS_LEN, 1.0, L)
         ux, uy = -lx / L, -ly / L
-        A[..., 0, i] = ux
-        A[..., 1, i] = uy
-        A[..., 2, i] = attachments[i, 0] * uy - attachments[i, 1] * ux
-        l_len[..., i] = L
+        A[0][i] = ux
+        A[1][i] = uy
+        A[2][i] = attachments[i, 0] * uy - attachments[i, 1] * ux
+        l_len.append(L)
 
-    u = np.zeros(shape + (3,))
-    u[..., 1] = weight
-    d_len = np.empty(shape + (max(cb_fixed.shape[0], 1),))
+    u = [np.zeros(shape), np.full(shape, weight), np.zeros(shape)]
+    cb_elastic_ok = np.ones(shape, bool)
     for j in range(cb_fixed.shape[0]):
         dx = X + cb_platform[j, 0] - cb_fixed[j, 0]
         dy = Y + cb_platform[j, 1] - cb_fixed[j, 1]
@@ -127,181 +129,36 @@ def _scan_numpy(xs, ys, anchors, attachments, cb_fixed, cb_platform,
         degenerate |= D < EPS_LEN
         D = np.where(D < EPS_LEN, 1.0, D)
         vx, vy = -dx / D, -dy / D
-        u[..., 0] -= t5 * vx
-        u[..., 1] -= t5 * vy
-        u[..., 2] -= t5 * (cb_platform[j, 0] * vy - cb_platform[j, 1] * vx)
-        d_len[..., j] = D
-
-    cb_elastic_ok = np.ones(shape, bool)
-    if elastic_on:
-        for j in range(cb_fixed.shape[0]):
-            l0 = d_len[..., j] * ea[4 + j] / (t5 + ea[4 + j])
+        u[0] -= t5 * vx
+        u[1] -= t5 * vy
+        u[2] -= t5 * (cb_platform[j, 0] * vy - cb_platform[j, 1] * vx)
+        if elastic_on:
+            l0 = D * ea[4 + j] / (t5 + ea[4 + j])
             cb_elastic_ok &= (l0 >= l0_min[4 + j]) & (l0 <= l0_max[4 + j])
 
     feasible = np.zeros(shape, bool)
     gamma = np.full(shape, np.nan)
     tens = np.full(shape + (4,), np.nan)
     for k in range(4):
-        idx = [i for i in range(4) if i != k]
-        B = A[..., :, idx]
-        with np.errstate(all="ignore"):
-            det = np.linalg.det(B)
-            ok = np.abs(det) > 0
-            Bsafe = np.where(ok[..., None, None], B, np.eye(3))
-            Binv = np.linalg.inv(Bsafe)
-            rcond = 1.0 / (np.linalg.norm(B, 1, axis=(-2, -1))
-                           * np.linalg.norm(Binv, 1, axis=(-2, -1)))
-            ok &= rcond >= RCOND_MIN
-            rhs = u - A[..., :, k] * tmax[k]
-            Trest = np.linalg.solve(Bsafe, rhs[..., None])[..., 0]
-        T = np.empty(shape + (4,))
-        T[..., k] = tmax[k]
-        for col, i in enumerate(idx):
-            T[..., i] = Trest[..., col]
-        good = (ok & ~degenerate
-                & np.all(T >= tmin[:4] - TOL_TENSION, axis=-1)
-                & np.all(T <= tmax[:4] + TOL_TENSION, axis=-1))
+        free = [i for i in range(4) if i != k]
+        rhs = [u[r] - A[r][k] * tmax[k] for r in range(3)]
+        sol, _, valid = _solve3([[row[i] for i in free] for row in A], rhs)
+        T = [tmax[k]] * 4
+        for col, i in enumerate(free):
+            T[i] = sol[col]
+        good = valid & ~degenerate
+        for i in range(4):
+            good &= (T[i] >= tmin[i] - TOL_TENSION) & (T[i] <= tmax[i] + TOL_TENSION)
         if elastic_on:
-            l0 = l_len * ea[:4] / (T + ea[:4])
-            good &= np.all((l0 >= l0_min[:4]) & (l0 <= l0_max[:4]), axis=-1)
-            good &= cb_elastic_ok
-        norm = np.linalg.norm(T, axis=-1)
-        take = good & (~feasible | (norm > gamma + TOL_TENSION))
-        # NaN gamma compares false, so freshly feasible cells need ~feasible
-        gamma = np.where(take, norm, gamma)
-        tens = np.where(take[..., None], T, tens)
-        feasible |= good
-    return feasible, gamma, tens
-
-
-# ---------------------------------------------------------------------------
-# numba backend: explicit per-cell loops with a hand-rolled 3x3 solve.
-
-@njit(cache=True, nogil=True)
-def _solve3_rcond(B, rhs, out):
-    """Solve B @ out = rhs via the adjugate; returns the 1-norm reciprocal
-    condition estimate (0.0 when singular)."""
-    a, b, c = B[0, 0], B[0, 1], B[0, 2]
-    d, e, f = B[1, 0], B[1, 1], B[1, 2]
-    g, h, i = B[2, 0], B[2, 1], B[2, 2]
-    A11 = e * i - f * h
-    A12 = c * h - b * i
-    A13 = b * f - c * e
-    A21 = f * g - d * i
-    A22 = a * i - c * g
-    A23 = c * d - a * f
-    A31 = d * h - e * g
-    A32 = b * g - a * h
-    A33 = a * e - b * d
-    det = a * A11 + b * A21 + c * A31
-    if det == 0.0:
-        return 0.0
-    inv_det = 1.0 / det
-    # column-wise 1-norms of B and inv(B)
-    n_b = max(abs(a) + abs(d) + abs(g), abs(b) + abs(e) + abs(h),
-              abs(c) + abs(f) + abs(i))
-    n_inv = max(abs(A11) + abs(A21) + abs(A31), abs(A12) + abs(A22) + abs(A32),
-                abs(A13) + abs(A23) + abs(A33)) * abs(inv_det)
-    out[0] = (A11 * rhs[0] + A12 * rhs[1] + A13 * rhs[2]) * inv_det
-    out[1] = (A21 * rhs[0] + A22 * rhs[1] + A23 * rhs[2]) * inv_det
-    out[2] = (A31 * rhs[0] + A32 * rhs[1] + A33 * rhs[2]) * inv_det
-    return 1.0 / (n_b * n_inv)
-
-
-@njit(cache=True, nogil=True)
-def _scan_numba(xs, ys, anchors, attachments, cb_fixed, cb_platform,
-                tmin, tmax, t5, weight, elastic_on, ea, l0_min, l0_max):
-    nx, ny = xs.size, ys.size
-    ncb = cb_fixed.shape[0]
-    feasible = np.zeros((nx, ny), np.bool_)
-    gamma = np.full((nx, ny), np.nan)
-    tens = np.full((nx, ny, 4), np.nan)
-    A = np.empty((3, 4))
-    B = np.empty((3, 3))
-    rhs = np.empty(3)
-    sol = np.empty(3)
-    T = np.empty(4)
-    l_len = np.empty(4)
-    for ix in range(nx):
-        x = xs[ix]
-        for iy in range(ny):
-            y = ys[iy]
-            degenerate = False
             for i in range(4):
-                lx = x + attachments[i, 0] - anchors[i, 0]
-                ly = y + attachments[i, 1] - anchors[i, 1]
-                L = math.sqrt(lx * lx + ly * ly)
-                if L < EPS_LEN:
-                    degenerate = True
-                    break
-                ux, uy = -lx / L, -ly / L
-                A[0, i] = ux
-                A[1, i] = uy
-                A[2, i] = attachments[i, 0] * uy - attachments[i, 1] * ux
-                l_len[i] = L
-            if degenerate:
-                continue
-            ux_sum, uy_sum, um_sum = 0.0, 0.0, 0.0
-            cb_ok = True
-            for j in range(ncb):
-                dx = x + cb_platform[j, 0] - cb_fixed[j, 0]
-                dy = y + cb_platform[j, 1] - cb_fixed[j, 1]
-                D = math.sqrt(dx * dx + dy * dy)
-                if D < EPS_LEN:
-                    degenerate = True
-                    break
-                vx, vy = -dx / D, -dy / D
-                ux_sum += t5 * vx
-                uy_sum += t5 * vy
-                um_sum += t5 * (cb_platform[j, 0] * vy - cb_platform[j, 1] * vx)
-                if elastic_on:
-                    l0 = D * ea[4 + j] / (t5 + ea[4 + j])
-                    if l0 < l0_min[4 + j] or l0 > l0_max[4 + j]:
-                        cb_ok = False
-            if degenerate or (elastic_on and not cb_ok):
-                continue
-            u0 = -ux_sum
-            u1 = weight - uy_sum
-            u2 = -um_sum
-            for k in range(4):
-                col = 0
-                for i in range(4):
-                    if i == k:
-                        continue
-                    B[0, col] = A[0, i]
-                    B[1, col] = A[1, i]
-                    B[2, col] = A[2, i]
-                    col += 1
-                rhs[0] = u0 - A[0, k] * tmax[k]
-                rhs[1] = u1 - A[1, k] * tmax[k]
-                rhs[2] = u2 - A[2, k] * tmax[k]
-                rcond = _solve3_rcond(B, rhs, sol)
-                if rcond < RCOND_MIN:
-                    continue
-                col = 0
-                for i in range(4):
-                    if i == k:
-                        T[i] = tmax[k]
-                    else:
-                        T[i] = sol[col]
-                        col += 1
-                good = True
-                for i in range(4):
-                    if T[i] < tmin[i] - TOL_TENSION or T[i] > tmax[i] + TOL_TENSION:
-                        good = False
-                        break
-                if good and elastic_on:
-                    for i in range(4):
-                        l0 = l_len[i] * ea[i] / (T[i] + ea[i])
-                        if l0 < l0_min[i] or l0 > l0_max[i]:
-                            good = False
-                            break
-                if not good:
-                    continue
-                norm = math.sqrt(T[0] * T[0] + T[1] * T[1] + T[2] * T[2] + T[3] * T[3])
-                if not feasible[ix, iy] or norm > gamma[ix, iy] + TOL_TENSION:
-                    gamma[ix, iy] = norm
-                    for i in range(4):
-                        tens[ix, iy, i] = T[i]
-                feasible[ix, iy] = True
+                l0 = l_len[i] * ea[i] / (T[i] + ea[i])
+                good &= (l0 >= l0_min[i]) & (l0 <= l0_max[i])
+            good &= cb_elastic_ok
+        norm = np.sqrt(T[0] * T[0] + T[1] * T[1] + T[2] * T[2] + T[3] * T[3])
+        # NaN gamma compares false, so freshly feasible cells need ~feasible
+        take = good & (~feasible | (norm > gamma + TOL_TENSION))
+        np.copyto(gamma, norm, where=take)
+        for i in range(4):
+            np.copyto(tens[..., i], T[i], where=take)
+        feasible |= good
     return feasible, gamma, tens

@@ -69,11 +69,11 @@ class ScanRegion:
 
     @property
     def nx(self) -> int:
-        return int(np.floor((self.x_max - self.x_min) / self.step)) + 1
+        return _cell_count(self.x_max - self.x_min, self.step)
 
     @property
     def ny(self) -> int:
-        return int(np.floor((self.y_max - self.y_min) / self.step)) + 1
+        return _cell_count(self.y_max - self.y_min, self.step)
 
     def x_values(self) -> np.ndarray:
         return self.x_min + self.step * np.arange(self.nx)
@@ -92,6 +92,14 @@ class ScanRegion:
             and self.y_min <= other.y_min + tol
             and self.y_max >= other.y_max - tol
         )
+
+
+def _cell_count(span: float, step: float) -> int:
+    """Samples from the lower bound at multiples of step, the upper bound
+    included: a quotient that rounding puts just below a whole number (0.3 /
+    0.1 = 2.9999999999999996) still counts that last sample."""
+    q = span / step
+    return int(np.floor(q + 1e-9 * q)) + 1
 
 
 @dataclass(frozen=True)

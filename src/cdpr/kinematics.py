@@ -12,13 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import EPS_LEN
 from .errors import SingularPoseError
 from .geometry import PlatformPose, RobotGeometry
 
 __all__ = ["EPS_LEN", "CableState", "Jacobians", "cable_state", "jacobians", "cable_rates"]
-
-# Degenerate-cable threshold, far below any physical cable length.
-EPS_LEN = 1e-9
 
 
 @dataclass(frozen=True)

@@ -10,13 +10,15 @@ candidate tension vectors per pose.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import RCOND_MIN, TOL_TENSION, _solve3
 from .errors import ConfigurationError, SingularConfigurationError
 from .geometry import PlatformPose, RobotGeometry
-from .kinematics import cable_state, jacobians
+from .kinematics import Jacobians, cable_state, jacobians
 
 __all__ = [
     "TOL_TENSION",
@@ -36,9 +38,7 @@ __all__ = [
     "dynamics_residual",
 ]
 
-TOL_TENSION = 1e-6    # N, slack on tension bound checks
 TOL_RESIDUAL = 1e-9   # relative linear-system residual accepted
-RCOND_MIN = 1e-12     # reciprocal condition below which a candidate is invalid
 
 
 @dataclass(frozen=True)
@@ -82,12 +82,22 @@ def gravity_wrench(geom: RobotGeometry) -> np.ndarray:
     return np.array([0.0, geom.platform_mass * geom.gravity, 0.0])
 
 
+def _validate_t5(t5: float) -> None:
+    """The counterbalance tension must be a finite number >= 0; the per-pose
+    and the grid routes both check it here."""
+    if not (math.isfinite(t5) and t5 >= 0):
+        raise ConfigurationError(
+            f"counterbalance tension must be finite and >= 0, got {t5!r}")
+
+
 def equilibrium_input(geom: RobotGeometry, pose: PlatformPose, t5: float) -> EquilibriumInput:
     """Wrench left for the driven cables once the counterbalance cables all
     carry tension t5."""
-    if t5 < 0:
-        raise ConfigurationError("counterbalance tension must be >= 0")
-    jac = jacobians(geom, pose)
+    return _equilibrium(geom, jacobians(geom, pose), t5)
+
+
+def _equilibrium(geom: RobotGeometry, jac: Jacobians, t5: float) -> EquilibriumInput:
+    _validate_t5(t5)
     G = gravity_wrench(geom)
     F = np.full(geom.m, float(t5))
     u = G - jac.cb_structure_matrix @ F
@@ -108,39 +118,29 @@ def candidate_tensions(geom: RobotGeometry, pose: PlatformPose, t5: float) -> li
     rather than failing the pose.
     """
     _check_planar(geom)
-    eq = equilibrium_input(geom, pose, t5)
-    A = jacobians(geom, pose).structure_matrix
+    jac = jacobians(geom, pose)
+    u = _equilibrium(geom, jac, t5).u
+    A = jac.structure_matrix
     tmin = geom.tension_min[:4]
     tmax = geom.tension_max[:4]
     out = []
     for k in range(4):
         idx = [i for i in range(4) if i != k]
-        B = A[:, idx]
-        rcond = _rcond_1norm(B)
-        if rcond < RCOND_MIN:
+        sol, rcond, valid = _solve3(A[:, idx].tolist(), (u - A[:, k] * tmax[k]).tolist())
+        rcond = float(rcond)
+        if not valid:
             out.append(TensionSolution(
                 candidate_index=k + 1, T=np.full(4, np.nan), feasible=False,
                 valid=False, norm=np.nan, rcond=rcond))
             continue
         T = np.empty(4)
         T[k] = tmax[k]
-        T[idx] = np.linalg.solve(B, eq.u - A[:, k] * tmax[k])
+        T[idx] = sol
         feasible = bool(np.all(T >= tmin - TOL_TENSION) and np.all(T <= tmax + TOL_TENSION))
         out.append(TensionSolution(
             candidate_index=k + 1, T=T, feasible=feasible, valid=True,
             norm=float(np.linalg.norm(T)), rcond=rcond))
     return out
-
-
-def _rcond_1norm(B: np.ndarray) -> float:
-    norm = np.linalg.norm(B, 1)
-    try:
-        inv_norm = np.linalg.norm(np.linalg.inv(B), 1)
-    except np.linalg.LinAlgError:
-        return 0.0
-    if not np.isfinite(inv_norm) or inv_norm == 0.0:
-        return 0.0
-    return 1.0 / (norm * inv_norm)
 
 
 def _t5_within_bounds(geom: RobotGeometry, t5: float) -> bool:
@@ -212,22 +212,23 @@ def cost_elastic(geom: RobotGeometry, pose: PlatformPose, t5: float,
 # Null-space route: the general pseudoinverse solution, used as an
 # independent feasibility oracle for the candidate method.
 
-def _pinv_and_null(geom: RobotGeometry, pose: PlatformPose):
+def _pinv_and_null(geom: RobotGeometry, jac: Jacobians):
     _check_planar(geom)
-    A = jacobians(geom, pose).structure_matrix
+    A = jac.structure_matrix
     if np.linalg.matrix_rank(A, tol=1e-9) < 3:
         raise SingularConfigurationError("structure matrix is rank deficient")
     _, _, vt = np.linalg.svd(A)
     null = vt[-1]
-    return A, np.linalg.pinv(A), null
+    return np.linalg.pinv(A), null
 
 
 def nullspace_solver(geom: RobotGeometry, pose: PlatformPose, t5: float,
                      alpha: float) -> np.ndarray:
     """T(alpha) = pinv(A_l) u + alpha * null(A_l); exact equilibrium for
     every alpha."""
-    A, pinv, null = _pinv_and_null(geom, pose)
-    u = equilibrium_input(geom, pose, t5).u
+    jac = jacobians(geom, pose)
+    pinv, null = _pinv_and_null(geom, jac)
+    u = _equilibrium(geom, jac, t5).u
     return pinv @ u + alpha * null
 
 
@@ -235,8 +236,9 @@ def feasible_alpha_interval(geom: RobotGeometry, pose: PlatformPose, t5: float):
     """Closed interval of alpha keeping every driven tension within bounds,
     or None when empty. Computed analytically by intersecting the per-cable
     linear constraints."""
-    A, pinv, null = _pinv_and_null(geom, pose)
-    t0 = pinv @ equilibrium_input(geom, pose, t5).u
+    jac = jacobians(geom, pose)
+    pinv, null = _pinv_and_null(geom, jac)
+    t0 = pinv @ _equilibrium(geom, jac, t5).u
     lo, hi = -np.inf, np.inf
     tmin = geom.tension_min[:4]
     tmax = geom.tension_max[:4]

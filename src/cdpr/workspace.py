@@ -17,7 +17,7 @@ import numpy as np
 from . import _kernels
 from .errors import ConfigurationError, GeometryError
 from .geometry import RobotGeometry, ScanRegion
-from .statics import TOL_TENSION
+from .statics import TOL_TENSION, _validate_t5
 
 __all__ = ["WorkspaceGrid", "CoverageReport", "scan", "union_scan", "coverage",
            "completeness_gap"]
@@ -118,7 +118,7 @@ def _scan_arrays(geom: RobotGeometry, region: ScanRegion, t5: float, mode: str,
         return _kernels.scan_cells(xs, ys, **kwargs)
 
     # Cells are independent, so chunking x-rows across threads cannot change
-    # the result; the kernels release the GIL.
+    # the result; the kernel's numpy operations release the GIL.
     bounds = np.linspace(0, xs.size, jobs + 1).astype(int)
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         parts = list(pool.map(
@@ -135,6 +135,7 @@ def scan(geom: RobotGeometry, region: ScanRegion, t5: float,
          mode: str = "rigid", *, enforce_t5_bounds: bool = True,
          jobs: int = 1) -> WorkspaceGrid:
     """Classify every grid cell at a fixed counterbalance tension."""
+    _validate_t5(t5)
     feas, gam, tens4 = _scan_arrays(geom, region, t5, mode, enforce_t5_bounds, jobs)
     tens = np.concatenate(
         [tens4, np.where(feas, float(t5), np.nan)[..., None]], axis=-1)
@@ -151,6 +152,8 @@ def union_scan(geom: RobotGeometry, region: ScanRegion, t5_values,
     t5_values = [float(v) for v in t5_values]
     if not t5_values:
         raise ConfigurationError("t5_values must be non-empty")
+    for t5 in t5_values:
+        _validate_t5(t5)
     reach = None
     for t5 in t5_values:
         g = scan(geom, region, t5, mode, enforce_t5_bounds=enforce_t5_bounds,

@@ -52,6 +52,19 @@ class TestScanRegion:
         assert r.nx == 11
         assert r.ny == 6  # floor(0.55 / 0.1) + 1
 
+    def test_edge_kept_when_quotient_rounds_down(self):
+        """0.3 / 0.1 is 2.9999999999999996 in floating point; the x = 0.3
+        column must still be sampled."""
+        r = ScanRegion(0.0, 0.3, 0.0, 0.3, 0.1)
+        assert (r.nx, r.ny) == (4, 4)
+        assert r.x_values()[-1] == pytest.approx(0.3, abs=1e-12)
+        assert r.y_values()[-1] == pytest.approx(0.3, abs=1e-12)
+
+    def test_preset_rectangle_counts(self, region):
+        for step, counts in ((0.05, (501, 101)), (0.25, (101, 21)), (0.5, (51, 11))):
+            r = ScanRegion(region.x_min, region.x_max, region.y_min, region.y_max, step)
+            assert (r.nx, r.ny) == counts
+
     def test_validation(self):
         with pytest.raises(GeometryError):
             ScanRegion(1.0, 0.0, 0.0, 1.0, 0.1)

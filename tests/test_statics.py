@@ -142,6 +142,17 @@ class TestCandidates:
         assert lifted.feasible_any != cost_rigid(geom, ORIGIN, 17000.0).feasible_any
 
 
+class TestT5Validation:
+    @pytest.mark.parametrize("t5", [-1.0, float("nan"), float("inf")])
+    def test_per_pose_rejects(self, geom, t5):
+        from cdpr import ConfigurationError
+        for call in (equilibrium_input, candidate_tensions, nullspace_oracle):
+            with pytest.raises(ConfigurationError):
+                call(geom, ORIGIN, t5)
+        with pytest.raises(ConfigurationError):
+            cost_rigid(geom, ORIGIN, t5, enforce_t5_bounds=False)
+
+
 def _influence(geom, pose, k):
     """Tension response to a unit clamped tension at zero load: solving the
     3 x 3 block with rhs = -A[:, k] and doubling the load doubles only the

@@ -5,6 +5,7 @@ from cdpr import (
     ConfigurationError,
     GeometryError,
     PlatformPose,
+    RobotGeometry,
     ScanRegion,
     completeness_gap,
     cost_rigid,
@@ -77,24 +78,114 @@ class TestScan:
             scan(geom, coarse_region, 3000.0, mode="magic")
 
 
-class TestBackends:
-    @pytest.mark.skipif(not _kernels.numba_available(),
-                        reason="compiled backend unavailable")
-    def test_backends_agree(self, geom, coarse_region):
+class TestKernel:
+    def test_elastic_binding_window_matches_per_pose(self, planar, coarse_region):
+        """A window that cuts cells off (EA = 1e6 N, l0 in [2, 22] m): the
+        grid's elastic mode agrees with per-pose cost_elastic at every cell."""
+        from dataclasses import replace
+        from cdpr import ElasticParams, Variant, cost_elastic, expand_planar
+        window = ElasticParams(ea=[1e6] * 6, l0_min=[2.0] * 6, l0_max=[22.0] * 6)
+        g = expand_planar(replace(planar, elastic=window), Variant.A)
+        grid = scan(g, coarse_region, 3000.0, mode="elastic")
+        rigid = scan(g, coarse_region, 3000.0)
+        assert 0 < grid.reachable.sum() < rigid.reachable.sum()
         xs, ys = coarse_region.x_values(), coarse_region.y_values()
-        kwargs = dict(
-            anchors=geom.anchors[:, :2], attachments=geom.attachments[:, :2],
-            cb_fixed=geom.cb_pulleys_fixed[:, :2],
-            cb_platform=geom.cb_pulleys_platform[:, :2],
-            tmin=geom.tension_min, tmax=geom.tension_max,
-            t5=3000.0, weight=geom.platform_mass * geom.gravity)
-        fa, ga, ta = _kernels.scan_cells(xs, ys, backend="numba", **kwargs)
-        fb, gb, tb = _kernels.scan_cells(xs, ys, backend="numpy", **kwargs)
-        np.testing.assert_array_equal(fa, fb)
-        np.testing.assert_allclose(np.nan_to_num(ga), np.nan_to_num(gb),
-                                   rtol=1e-9, atol=1e-6)
-        np.testing.assert_allclose(np.nan_to_num(ta), np.nan_to_num(tb),
-                                   rtol=1e-9, atol=1e-6)
+        for ix in range(xs.size):
+            for iy in range(ys.size):
+                ref = cost_elastic(g, PlatformPose.planar(xs[ix], ys[iy]), 3000.0)
+                assert grid.reachable[ix, iy] == ref.feasible_any
+                if ref.feasible_any:
+                    assert grid.gamma[ix, iy] == pytest.approx(ref.gamma, rel=1e-9)
+                    np.testing.assert_allclose(grid.tensions[ix, iy, :4],
+                                               ref.T_opt, rtol=1e-9, atol=1e-6)
+                else:
+                    assert np.isnan(grid.gamma[ix, iy])
+
+    def test_largest_feasible_norm_wins(self):
+        """With the lower-left anchor high, some cells have two feasible
+        candidates of different norms; the grid keeps the larger, as the
+        per-pose aggregation does."""
+        g = RobotGeometry(
+            anchors=[[-9, 4, 0], [9, 4, 0], [9, -2.8, 0], [-9, 3.5, 0]],
+            attachments=[[-1.1, 0.3, 0], [1.1, 0.3, 0], [1.1, -0.2, 0], [-1.1, -0.1, 0]],
+            cb_pulleys_fixed=[[-9, 5, 0], [9, 5, 0]], cb_pulleys_platform=np.zeros((2, 3)),
+            platform_mass=389.0, gravity=9.81, tension_min=np.zeros(6),
+            tension_max=[17100.0, 10000.0, 12300.0, 3500.0, 20000.0, 20000.0])
+        region = ScanRegion(-6.0, 6.0, -2.0, 2.0, 0.5)
+        grid = scan(g, region, 1000.0)
+        two = 0
+        for ix, x in enumerate(region.x_values()):
+            for iy, y in enumerate(region.y_values()):
+                ref = cost_rigid(g, PlatformPose.planar(x, y), 1000.0)
+                norms = [c.norm for c in ref.candidates if c.feasible]
+                two += len(norms) == 2 and max(norms) - min(norms) > 1.0
+                assert grid.reachable[ix, iy] == ref.feasible_any
+                if ref.feasible_any:
+                    assert grid.gamma[ix, iy] == pytest.approx(max(norms), rel=1e-9)
+                    np.testing.assert_allclose(grid.tensions[ix, iy, :4], ref.T_opt,
+                                               rtol=1e-9, atol=1e-6)
+        assert two > 0
+
+    def test_tension_slack_matches_per_pose(self, geom):
+        """A tension TOL_TENSION / 2 below its lower bound passes, 2 TOL_TENSION
+        below fails, on the grid and per pose alike. At the origin the
+        optimal lower-cable tensions are about 8375.46 N."""
+        from dataclasses import replace
+        origin = PlatformPose.planar(0.0, 0.0)
+        t_low = cost_rigid(geom, origin, 3000.0).T_opt[2]
+        region = ScanRegion(-0.5, 0.5, -0.5, 0.5, 0.5)
+        for excess, reachable in ((0.5, True), (2.0, False)):
+            tmin = geom.tension_min.copy()
+            tmin[2:4] = t_low + excess * _kernels.TOL_TENSION
+            g = replace(geom, tension_min=tmin)
+            assert cost_rigid(g, origin, 3000.0).feasible_any is reachable
+            assert scan(g, region, 3000.0).reachable[1, 1] == reachable
+
+    def test_solve3_singular_block_invalid(self):
+        B = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [1.0, 0.0, 1.0]])
+        _, rcond, valid = _kernels._solve3(B.tolist(), [1.0, 2.0, 3.0])
+        assert rcond == 0.0
+        assert not valid
+
+    def test_solve3_near_singular_block_invalid(self):
+        B = np.diag([1.0, 1.0, 1e-14])
+        _, rcond, valid = _kernels._solve3(B.tolist(), [1.0, 2.0, 3.0])
+        assert 0.0 < rcond < _kernels.RCOND_MIN
+        assert not valid
+
+    def test_solve3_matches_lapack(self, rng):
+        """Scalar and array calls agree with np.linalg.solve and with the
+        1-norm reciprocal condition number to 1e-12 relative."""
+        blocks = 3.0 * np.eye(3) + rng.uniform(-1.0, 1.0, (50, 3, 3))
+        rhs = rng.uniform(-1e4, 1e4, (50, 3))
+        want_x = np.linalg.solve(blocks, rhs[..., None])[..., 0]
+        want_rcond = 1.0 / (np.linalg.norm(blocks, 1, axis=(-2, -1))
+                            * np.linalg.norm(np.linalg.inv(blocks), 1, axis=(-2, -1)))
+        x, rcond, valid = _kernels._solve3(
+            [[blocks[:, r, c] for c in range(3)] for r in range(3)],
+            [rhs[:, r] for r in range(3)])
+        assert valid.all()
+        np.testing.assert_allclose(np.stack(x, axis=-1), want_x, rtol=1e-12)
+        np.testing.assert_allclose(rcond, want_rcond, rtol=1e-12)
+        for n in range(5):
+            xs, rc, ok = _kernels._solve3(blocks[n].tolist(), rhs[n].tolist())
+            assert ok
+            np.testing.assert_array_equal(xs, [x[r][n] for r in range(3)])
+            assert rc == rcond[n]
+
+
+class TestT5Validation:
+    @pytest.mark.parametrize("t5", [-1.0, float("nan"), float("inf")])
+    def test_scan_rejects(self, geom, coarse_region, t5):
+        with pytest.raises(ConfigurationError):
+            scan(geom, coarse_region, t5)
+        with pytest.raises(ConfigurationError):
+            scan(geom, coarse_region, t5, enforce_t5_bounds=False)
+
+    @pytest.mark.parametrize("t5", [-1.0, float("nan"), float("inf")])
+    def test_union_scan_rejects(self, geom, coarse_region, t5):
+        with pytest.raises(ConfigurationError):
+            union_scan(geom, coarse_region, [3000.0, t5])
 
 
 class TestUnion:

@@ -1,8 +1,10 @@
-"""Time the grid-scan kernel on the preset geometry and spot-check it.
+"""Time the grid-scan kernel and the grid CSV writer on the preset geometry,
+and spot-check the kernel.
 
-Reports the best of --repeats calls (after one warm-up call) in ms and
-Mcell/s, then re-solves --samples random cells per pose with `cost_rigid`
-and exits non-zero if any disagrees with the kernel.
+Reports the best of --repeats calls (after one warm-up call) of the kernel in
+ms and Mcell/s and of `WorkspaceGrid.to_csv` in ms and MB/s, then re-solves
+--samples random cells per pose with `cost_rigid` and exits non-zero if any
+disagrees with the kernel.
 
 Usage: python benchmarks/bench_scan.py [--step 0.05] [--repeats 3] [--t5 3000]
 """
@@ -11,11 +13,14 @@ from __future__ import annotations
 
 import argparse
 import sys
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 
-from cdpr import PlatformPose, ScanRegion, Variant, cost_rigid, expand_planar, load_table1_preset
+from cdpr import (PlatformPose, ScanRegion, Variant, cost_rigid, expand_planar,
+                  load_table1_preset, scan)
 from cdpr import _kernels as kernels
 
 
@@ -36,6 +41,17 @@ def spot_check(geom, xs, ys, t5, feasible, gamma, tensions, samples, seed) -> li
                 and np.allclose(tensions[ix, iy], ref.T_opt, rtol=1e-9, atol=1e-6)):
             errors.append(f"cell {(ix, iy)}: kernel gamma {gamma[ix, iy]}, per pose {ref.gamma}")
     return errors
+
+
+def best_of(repeats: int, fn) -> float:
+    """Seconds of the fastest of `repeats` calls, after one warm-up call."""
+    fn()
+    best = np.inf
+    for _ in range(max(1, repeats)):
+        t0 = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - t0)
+    return best
 
 
 def main() -> int:
@@ -62,17 +78,20 @@ def main() -> int:
         weight=geom.platform_mass * geom.gravity,
     )
 
-    kernels.scan_cells(xs, ys, **common)
-    best = np.inf
-    for _ in range(max(1, args.repeats)):
-        t0 = time.perf_counter()
-        feasible, gamma, tensions = kernels.scan_cells(xs, ys, **common)
-        best = min(best, time.perf_counter() - t0)
+    feasible, gamma, tensions = kernels.scan_cells(xs, ys, **common)
+    best = best_of(args.repeats, lambda: kernels.scan_cells(xs, ys, **common))
+    grid = scan(geom, region, args.t5, enforce_t5_bounds=False)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "grid.csv"
+        best_csv = best_of(args.repeats, lambda: grid.to_csv(path))
+        csv_bytes = path.stat().st_size
 
     cells = region.nx * region.ny
     print(f"grid: {region.nx} x {region.ny} cells, step {args.step} m, T5 = {args.t5} N")
     print(f"  kernel: {best * 1e3:9.1f} ms  ({cells / best / 1e6:.2f} Mcell/s), "
           f"{int(feasible.sum())} reachable")
+    print(f"  to_csv: {best_csv * 1e3:9.1f} ms  ({csv_bytes / best_csv / 1e6:.1f} MB/s), "
+          f"{csv_bytes} bytes")
     errors = spot_check(geom, xs, ys, args.t5, feasible, gamma, tensions,
                         args.samples, args.seed)
     print(f"  spot check: {min(args.samples, cells) - len(errors)}/{min(args.samples, cells)} "

@@ -37,7 +37,7 @@ from .geometry import (
     table1_preset_path,
 )
 from .kinematics import cable_state
-from .optimize import compare_configs, counterweight, sweep_t5, sweep_wp
+from .optimize import compare_configs, counterweight, sweep_t5, sweep_wp, write_sweeps_csv
 from .statics import candidate_tensions, cost_rigid, nullspace_oracle
 from .workspace import coverage, scan, union_scan
 
@@ -83,24 +83,50 @@ def _region(args, geom: RobotGeometry) -> ScanRegion:
     return base
 
 
-def _write_manifest(out_prefix: Path, command: str, args_dict: dict,
-                    geometry_path: Path, outputs: list[Path], wall: float) -> Path:
+class _Clock:
+    """Phase timings of one command: mark(phase) records the seconds since
+    the previous mark, or since the command started."""
+
+    def __init__(self):
+        self.t0 = self._last = time.perf_counter()
+        self.timings_s: dict[str, float] = {}
+
+    def mark(self, phase: str) -> None:
+        now = time.perf_counter()
+        self.timings_s[phase] = now - self._last
+        self._last = now
+
+
+def _emit(out: str, command: str, params: dict, geometry_path: Path, write_csv,
+          summary: dict, clock: _Clock, counters: dict) -> None:
+    """Write a command's outputs under the `out` prefix: the CSV (through
+    write_csv(path)), the summary JSON, then the manifest with the phase
+    timings and counters."""
+    out = Path(out)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    csv_path = out.with_suffix(".csv")
+    summary_path = out.with_suffix(".summary.json")
+    write_csv(csv_path)
+    summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    clock.mark("write")
     manifest = {
         "command": command,
-        "parameters": args_dict,
+        "parameters": params,
         "geometry_file": str(geometry_path),
         "geometry_sha256": hashlib.sha256(geometry_path.read_bytes()).hexdigest(),
-        "outputs": [str(p) for p in outputs],
+        "outputs": [str(csv_path), str(summary_path)],
         "tool_version": __version__,
-        "wall_time_s": wall,
+        "timings_s": clock.timings_s,
+        "counters": counters,
+        "wall_time_s": time.perf_counter() - clock.t0,
     }
-    path = out_prefix.with_suffix(".manifest.json")
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return path
+    out.with_suffix(".manifest.json").write_text(
+        json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _summary_path(out_prefix: Path) -> Path:
-    return out_prefix.with_suffix(".summary.json")
+def _grid_counters(grid, scans: int) -> dict:
+    return {"scans": scans, "cells": int(grid.reachable.size),
+            "reachable_cells": int(grid.reachable.sum())}
 
 
 def _cmd_ik(args) -> int:
@@ -142,15 +168,14 @@ def _cmd_tensions(args) -> int:
 
 
 def _cmd_workspace(args) -> int:
-    t0 = time.perf_counter()
+    clock = _Clock()
     geom, _, gpath = _load(args)
     region = _region(args, geom)
+    clock.mark("load")
     grid = scan(geom, region, args.t5, mode=args.mode, jobs=args.jobs)
+    clock.mark("compute")
     cov = coverage(grid, region)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    csv_path = out.with_suffix(".csv")
-    grid.to_csv(csv_path)
+    clock.mark("coverage")
     summary = {
         **grid.summary(),
         "t5_N": args.t5,
@@ -158,26 +183,29 @@ def _cmd_workspace(args) -> int:
         "covered_fraction": cov.covered_fraction,
         "corners_covered": list(cov.corners_covered),
     }
-    _summary_path(out).write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    _write_manifest(out, "workspace",
-                    {"t5": args.t5, "step": region.step, "mode": args.mode,
-                     "jobs": args.jobs, "variant": args.variant},
-                    gpath, [csv_path, _summary_path(out)], time.perf_counter() - t0)
+    _emit(args.out, "workspace",
+          {"t5": args.t5, "step": region.step, "mode": args.mode,
+           "jobs": args.jobs, "variant": args.variant},
+          gpath, grid.to_csv, summary, clock, _grid_counters(grid, 1))
     print(f"area = {grid.area_m2:.4f} m^2  covered fraction = {cov.covered_fraction:.4f}")
     return EXIT_OK
 
 
 def _cmd_sweep(args) -> int:
-    t0 = time.perf_counter()
+    clock = _Clock()
     geom, planar, gpath = _load(args)
     region = _region(args, geom)
     values = _parse_values(args.values)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    csv_path = out.with_suffix(".csv")
+    if args.param == "wp":
+        if planar is None:
+            raise ConfigurationError("wp sweep requires a planar_case geometry file")
+        t5_values = _parse_values(args.t5_values)
+    clock.mark("load")
     if args.param == "t5":
         result = sweep_t5(geom, values, region, jobs=args.jobs)
-        result.to_csv(csv_path)
+        clock.mark("compute")
+        write_csv = result.to_csv
+        scans = len(result.values)
         summary = {
             "param": "t5",
             "argmax_t5_N": result.argmax_value,
@@ -192,78 +220,69 @@ def _cmd_sweep(args) -> int:
         summary["counterweight_force_N"] = cw.force_N
         summary["counterweight_mass_kg"] = cw.mass_kg
     else:
-        if planar is None:
-            raise ConfigurationError("wp sweep requires a planar_case geometry file")
-        t5_values = _parse_values(args.t5_values)
         outcome = sweep_wp(planar, values, t5_values, region,
                            variant=Variant(args.variant), jobs=args.jobs)
-        lines = ["t5_N,param,value,area_m2,covered_fraction"]
-        for t5, res in outcome.per_t5.items():
-            for v, a, c in zip(res.values, res.areas, res.coverages):
-                lines.append(f"{t5:.6g},wp,{v:.6g},{a:.6g},{c.covered_fraction:.6g}")
-        csv_path.write_text("\n".join(lines) + "\n")
+        clock.mark("compute")
+        parts = [({"t5_N": f"{t5:.6g}"}, res) for t5, res in outcome.per_t5.items()]
+        write_csv = lambda path: write_sweeps_csv(path, parts)
+        scans = sum(len(res.values) for _, res in parts)
         summary = {
             "param": "wp",
             "aggregate_argmax_wp_m": outcome.aggregate_argmax_wp,
             "per_t5_argmax_wp_m": {f"{t5:g}": r.argmax_value
                                    for t5, r in outcome.per_t5.items()},
         }
-    _summary_path(out).write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    _write_manifest(out, "sweep",
-                    {"param": args.param, "values": args.values,
-                     "t5_values": args.t5_values, "jobs": args.jobs,
-                     "variant": args.variant, "step": region.step},
-                    gpath, [csv_path, _summary_path(out)], time.perf_counter() - t0)
+    _emit(args.out, "sweep",
+          {"param": args.param, "values": args.values,
+           "t5_values": args.t5_values, "jobs": args.jobs,
+           "variant": args.variant, "step": region.step},
+          gpath, write_csv, summary, clock,
+          {"scans": scans, "cells": region.nx * region.ny})
     print(json.dumps(summary, indent=2, sort_keys=True))
     return EXIT_OK
 
 
 def _cmd_compare(args) -> int:
-    t0 = time.perf_counter()
+    clock = _Clock()
     geom, planar, gpath = _load(args)
     if planar is None:
         raise ConfigurationError("compare requires a planar_case geometry file")
     region = _region(args, geom)
     variants = [Variant(v.strip()) for v in args.variants.split(",")]
     t5_values = _parse_values(args.t5_values)
+    clock.mark("load")
     results = compare_configs(planar, variants, args.wp, t5_values, region,
                               jobs=args.jobs)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    csv_path = out.with_suffix(".csv")
-    lines = ["variant,param,value,area_m2,covered_fraction"]
-    for v, res in results.items():
-        for val, a, c in zip(res.values, res.areas, res.coverages):
-            lines.append(f"{v.value},t5,{val:.6g},{a:.6g},{c.covered_fraction:.6g}")
-    csv_path.write_text("\n".join(lines) + "\n")
+    clock.mark("compute")
+    parts = [({"variant": v.value}, res) for v, res in results.items()]
     ranking = sorted(results, key=lambda v: results[v].argmax_area, reverse=True)
     summary = {
         "wp_m": args.wp,
         "ranking": [v.value for v in ranking],
         "peak_area_m2": {v.value: results[v].argmax_area for v in results},
     }
-    _summary_path(out).write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    _write_manifest(out, "compare",
-                    {"variants": args.variants, "wp": args.wp,
-                     "t5_values": args.t5_values, "jobs": args.jobs,
-                     "step": region.step},
-                    gpath, [csv_path, _summary_path(out)], time.perf_counter() - t0)
+    _emit(args.out, "compare",
+          {"variants": args.variants, "wp": args.wp,
+           "t5_values": args.t5_values, "jobs": args.jobs,
+           "step": region.step},
+          gpath, lambda path: write_sweeps_csv(path, parts), summary, clock,
+          {"scans": sum(len(res.values) for _, res in parts),
+           "cells": region.nx * region.ny})
     print(json.dumps(summary, indent=2, sort_keys=True))
     return EXIT_OK
 
 
 def _cmd_active_t5(args) -> int:
-    t0 = time.perf_counter()
+    clock = _Clock()
     geom, _, gpath = _load(args)
     region = _region(args, geom)
     t5_values = _parse_values(args.t5_range)
+    clock.mark("load")
     grid = union_scan(geom, region, t5_values,
                       enforce_t5_bounds=not args.ignore_t5max, jobs=args.jobs)
+    clock.mark("compute")
     cov = coverage(grid, region)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    csv_path = out.with_suffix(".csv")
-    grid.to_csv(csv_path)
+    clock.mark("coverage")
     summary = {
         **grid.summary(),
         "t5_range": args.t5_range,
@@ -271,11 +290,10 @@ def _cmd_active_t5(args) -> int:
         "covered_fraction": cov.covered_fraction,
         "corners_covered": list(cov.corners_covered),
     }
-    _summary_path(out).write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    _write_manifest(out, "active-t5",
-                    {"t5_range": args.t5_range, "ignore_t5max": bool(args.ignore_t5max),
-                     "jobs": args.jobs, "step": region.step},
-                    gpath, [csv_path, _summary_path(out)], time.perf_counter() - t0)
+    _emit(args.out, "active-t5",
+          {"t5_range": args.t5_range, "ignore_t5max": bool(args.ignore_t5max),
+           "jobs": args.jobs, "step": region.step},
+          gpath, grid.to_csv, summary, clock, _grid_counters(grid, len(t5_values)))
     print(f"union area = {grid.area_m2:.4f} m^2  "
           f"covered fraction = {cov.covered_fraction:.4f}")
     return EXIT_OK

@@ -37,15 +37,24 @@ class SweepResult:
     def argmax_area(self) -> float:
         return float(max(self.areas))
 
+    def csv_rows(self, extra: dict | None = None) -> list[str]:
+        """One CSV row per sample, led by the values of `extra`."""
+        lead = [str(v) for v in (extra or {}).values()]
+        return [",".join([*lead, self.parameter, f"{v:.6g}", f"{a:.6g}",
+                          f"{c.covered_fraction:.6g}"])
+                for v, a, c in zip(self.values, self.areas, self.coverages)]
+
     def to_csv(self, path, extra: dict | None = None) -> None:
-        extra = extra or {}
-        header = [*extra.keys(), "param", "value", "area_m2", "covered_fraction"]
-        lines = [",".join(header)]
-        for v, a, c in zip(self.values, self.areas, self.coverages):
-            row = [*extra.values(), self.parameter,
-                   f"{v:.6g}", f"{a:.6g}", f"{c.covered_fraction:.6g}"]
-            lines.append(",".join(str(s) for s in row))
-        Path(path).write_text("\n".join(lines) + "\n")
+        write_sweeps_csv(path, [(extra or {}, self)])
+
+
+def write_sweeps_csv(path, parts) -> None:
+    """Write sweeps as one CSV. `parts` is a list of (extra, SweepResult):
+    each `extra` dict names the leading columns (the same keys for every
+    part) and gives their values for that sweep's rows."""
+    header = ",".join([*parts[0][0], "param", "value", "area_m2", "covered_fraction"])
+    lines = [header, *(row for extra, res in parts for row in res.csv_rows(extra))]
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ reachable area as cell count times step squared.
 
 from __future__ import annotations
 
+import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -48,17 +49,21 @@ class WorkspaceGrid:
 
     def to_csv(self, path) -> None:
         """Write one row per cell: x_m,y_m,reachable,gamma_N,T1_N..T5_N,
-        numbers at 6 significant digits."""
-        xs, ys = self.x_values, self.y_values
-        lines = ["x_m,y_m,reachable,gamma_N,T1_N,T2_N,T3_N,T4_N,T5_N"]
-        for iy in range(ys.size):
-            for ix in range(xs.size):
-                vals = [self.gamma[ix, iy], *self.tensions[ix, iy]]
-                lines.append(
-                    f"{xs[ix]:.6g},{ys[iy]:.6g},{int(self.reachable[ix, iy])},"
-                    + ",".join("" if np.isnan(v) else f"{v:.6g}" for v in vals)
-                )
-        Path(path).write_text("\n".join(lines) + "\n")
+        numbers at 6 significant digits, NaN as an empty field.
+
+        Rows are y-major. Each y-row is formatted column by column from
+        Python floats and written as one block, so only one row's strings
+        are held at a time."""
+        xs = [f"{v:.6g}" for v in self.x_values.tolist()]
+        ys = [f"{v:.6g}" for v in self.y_values.tolist()]
+        with open(path, "w") as f:
+            f.write("x_m,y_m,reachable,gamma_N,T1_N,T2_N,T3_N,T4_N,T5_N\n")
+            for iy, y in enumerate(ys):
+                reach = ["1" if r else "0" for r in self.reachable[:, iy].tolist()]
+                cols = [["" if v != v else f"{v:.6g}" for v in col.tolist()]
+                        for col in (self.gamma[:, iy], *self.tensions[:, iy].T)]
+                rows = zip(xs, itertools.repeat(y), reach, *cols)
+                f.write("\n".join(map(",".join, rows)) + "\n")
 
     def summary(self) -> dict:
         return {

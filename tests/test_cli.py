@@ -83,6 +83,12 @@ class TestWorkspace:
             table1_preset_path().read_bytes()).hexdigest()
         assert str(csv_path) in manifest["outputs"]
         assert manifest["wall_time_s"] >= 0
+        timings = manifest["timings_s"]
+        assert set(timings) == {"load", "compute", "coverage", "write"}
+        assert all(t >= 0 for t in timings.values())
+        assert sum(timings.values()) <= manifest["wall_time_s"]
+        assert manifest["counters"] == {"scans": 1, "cells": 101 * 21,
+                                        "reachable_cells": summary["reachable_cells"]}
 
     def test_byte_identical_across_jobs(self, capsys, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -142,6 +148,13 @@ class TestCompare:
         summary = json.loads(out.with_suffix(".summary.json").read_text())
         assert set(summary["peak_area_m2"]) == {"A", "B"}
         assert summary["ranking"][0] in ("A", "B")
+        lines = out.with_suffix(".csv").read_text().splitlines()
+        assert lines[0] == "variant,param,value,area_m2,covered_fraction"
+        assert [line.split(",")[:3] for line in lines[1:]] == [
+            ["A", "t5", "3000"], ["B", "t5", "3000"]]
+        manifest = json.loads(out.with_suffix(".manifest.json").read_text())
+        assert set(manifest["timings_s"]) == {"load", "compute", "write"}
+        assert manifest["counters"] == {"scans": 2, "cells": 101 * 21}
 
 
 class TestActiveT5:
@@ -154,6 +167,9 @@ class TestActiveT5:
         assert "union area" in stdout
         summary = json.loads(out.with_suffix(".summary.json").read_text())
         assert summary["ignore_t5max"] is True
+        manifest = json.loads(out.with_suffix(".manifest.json").read_text())
+        assert manifest["counters"] == {"scans": 4, "cells": 101 * 21,
+                                        "reachable_cells": summary["reachable_cells"]}
 
 
 class TestParsing:

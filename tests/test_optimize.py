@@ -12,7 +12,7 @@ from cdpr import (
     sweep_t5,
     sweep_wp,
 )
-from cdpr.optimize import SweepResult
+from cdpr.optimize import SweepResult, write_sweeps_csv
 
 T5_SET = [1000.0, 2000.0, 3000.0]
 WP_SET = [11.0, 12.0, 13.0]
@@ -120,3 +120,17 @@ class TestSweepResult:
         assert lines[0] == "param,value,area_m2,covered_fraction"
         assert len(lines) == 1 + len(T5_SET)
         assert lines[1].startswith("t5,1000,")
+
+    def test_sweeps_share_one_csv(self, geom, coarse_region, tmp_path):
+        """Several sweeps in one file: the `extra` columns lead every row, and
+        one sweep through to_csv(extra) writes the same bytes."""
+        a = sweep_t5(geom, T5_SET, coarse_region)
+        b = sweep_t5(geom, T5_SET[:1], coarse_region)
+        path = tmp_path / "both.csv"
+        write_sweeps_csv(path, [({"variant": "A"}, a), ({"variant": "B"}, b)])
+        lines = path.read_text().splitlines()
+        assert lines[0] == "variant,param,value,area_m2,covered_fraction"
+        assert lines[1:] == ["A," + r for r in a.csv_rows()] + ["B," + r for r in b.csv_rows()]
+        one = tmp_path / "one.csv"
+        a.to_csv(one, extra={"variant": "A"})
+        assert one.read_text().splitlines() == lines[:1 + len(T5_SET)]

@@ -1,5 +1,10 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cdpr import (
     ConfigurationError,
@@ -13,7 +18,7 @@ from cdpr import (
     scan,
     union_scan,
 )
-from cdpr import _kernels
+from cdpr import WorkspaceGrid, _kernels
 
 
 class TestScan:
@@ -272,6 +277,97 @@ class TestCsv:
         scan(geom, coarse_region, 3000.0, jobs=1).to_csv(a)
         scan(geom, coarse_region, 3000.0, jobs=4).to_csv(b)
         assert a.read_bytes() == b.read_bytes()
+
+
+def reference_to_csv(grid, path) -> None:
+    """The per-cell writer that the streamed WorkspaceGrid.to_csv replaced,
+    kept as the byte reference."""
+    xs, ys = grid.x_values, grid.y_values
+    lines = ["x_m,y_m,reachable,gamma_N,T1_N,T2_N,T3_N,T4_N,T5_N"]
+    for iy in range(ys.size):
+        for ix in range(xs.size):
+            vals = [grid.gamma[ix, iy], *grid.tensions[ix, iy]]
+            lines.append(
+                f"{xs[ix]:.6g},{ys[iy]:.6g},{int(grid.reachable[ix, iy])},"
+                + ",".join("" if np.isnan(v) else f"{v:.6g}" for v in vals)
+            )
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def assert_csv_matches_reference(grid) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        new, ref = Path(tmp) / "new.csv", Path(tmp) / "ref.csv"
+        grid.to_csv(new)
+        reference_to_csv(grid, ref)
+        assert new.read_bytes() == ref.read_bytes()
+
+
+class TestCsvBytes:
+    """The streamed writer gives the reference writer's bytes."""
+
+    def test_rigid(self, geom, coarse_region):
+        assert_csv_matches_reference(scan(geom, coarse_region, 3000.0))
+
+    def test_elastic_binding_window(self, planar, coarse_region):
+        from dataclasses import replace
+        from cdpr import ElasticParams, Variant, expand_planar
+        window = ElasticParams(ea=[1e6] * 6, l0_min=[2.0] * 6, l0_max=[22.0] * 6)
+        g = expand_planar(replace(planar, elastic=window), Variant.A)
+        grid = scan(g, coarse_region, 3000.0, mode="elastic")
+        assert 0 < grid.reachable.sum() < grid.reachable.size
+        assert_csv_matches_reference(grid)
+
+    def test_bounded_union_first_t5_wins(self, geom, coarse_region):
+        grid = union_scan(geom, coarse_region, [0.0, 1000.0, 2000.0, 3000.0],
+                          enforce_t5_bounds=True)
+        assert 0 < grid.reachable.sum() < grid.reachable.size
+        assert np.unique(grid.tensions[grid.reachable, 4]).size > 1
+        assert_csv_matches_reference(grid)
+
+    def test_all_unreachable(self, geom, coarse_region):
+        grid = scan(geom, coarse_region, 1e6)
+        assert not grid.reachable.any()
+        assert_csv_matches_reference(grid)
+
+    def test_single_cell(self, geom):
+        grid = scan(geom, ScanRegion(0.0, 0.1, 0.0, 0.1, 1.0), 3000.0)
+        assert grid.reachable.shape == (1, 1)
+        assert_csv_matches_reference(grid)
+
+
+CSV_VALUES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([float("nan"), 0.0, -0.0, 1e-7, -2.5e-5, 123456.5, 9999995.0,
+                     -1e21, 3000.0]),
+)
+
+
+@st.composite
+def random_grids(draw):
+    """A WorkspaceGrid built directly: any reachable mask, any NaN pattern,
+    coordinates and values that format in exponent form or as -0, and one
+    reachable cell holding a NaN (a row that mixes filled and empty
+    fields)."""
+    nx, ny = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    x_min = draw(st.sampled_from([-12.5, -1e-7, 0.0, 2.5e6]))
+    y_min = draw(st.sampled_from([-2.85, -3e-6, 0.0, 4.5e5]))
+    step = draw(st.sampled_from([0.05, 0.25, 1e-6, 1234.5]))
+    region = ScanRegion(x_min, x_min + (nx - 0.5) * step,
+                        y_min, y_min + (ny - 0.5) * step, step)
+    nx, ny = region.nx, region.ny
+    reach = draw(arrays(bool, (nx, ny)))
+    vals = draw(arrays(np.float64, (nx, ny, 6), elements=CSV_VALUES))
+    ix, iy, k = (draw(st.integers(0, n - 1)) for n in (nx, ny, 6))
+    reach[ix, iy] = True
+    vals[ix, iy, k] = np.nan
+    return WorkspaceGrid(region=region, reachable=reach, gamma=vals[..., 0],
+                         tensions=vals[..., 1:])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(grid=random_grids())
+def test_csv_bytes_match_reference_on_random_grids(grid):
+    assert_csv_matches_reference(grid)
 
 
 class TestCompletenessGap:
